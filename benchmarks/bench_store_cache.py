@@ -8,9 +8,9 @@ decode) with plain timing so it runs even without pytest-benchmark;
 the ``benchmark``-fixture cases feed the longitudinal numbers.
 
 Every benchmark row carries ``store_backing`` in its ``extra_info``:
-the original cases serve from the in-heap (v2) posting table, and the
-``_mapped`` variants serve the same lists off a memory-mapped v3
-segment, so the longitudinal report can compare the two read paths
+the original cases serve from the in-memory posting table, and the
+``_mapped`` variants serve the same lists saved to disk and reopened off
+a memory-mapped v3 segment, so the longitudinal report can compare the two read paths
 directly (cold decodes run off the map zero-copy; warm hits are
 identical by construction — the cache holds heap copies either way).
 """
@@ -42,7 +42,7 @@ def _make_store(codec_name: str) -> PostingStore:
 def _make_engine(codec_name: str, tmp_path=None, *, mapped: bool = False) -> QueryEngine:
     store = _make_store(codec_name)
     if mapped:
-        store.save(tmp_path / "mapped", mapped=True)
+        store.save(tmp_path / "mapped")
         store = PostingStore.load(tmp_path / "mapped")
     return QueryEngine(store, cache=DecodeCache(), cache_probes=True)
 

@@ -212,7 +212,6 @@ def open_store(
     timeout_s: float | None = None,
     writable: bool = False,
     compact_interval_s: float = 0.0,
-    mapped: bool | None = None,
 ) -> QueryEngine:
     """Deprecated: load a saved store into a ready-to-query engine.
 
@@ -240,12 +239,6 @@ def open_store(
         compact_interval_s: with ``writable``, start the background
             compaction thread at this period (``0`` keeps compaction
             manual: ``engine.store.compact()``).
-        mapped: with ``writable``, select the persistence layout —
-            ``True`` for v3 memory-mapped segments (migrating a legacy
-            directory in place first), ``False`` for per-term v2 files,
-            ``None`` (default) to inherit the on-disk format.  A
-            read-only open always serves whichever layout the manifest
-            records (v3 stores open zero-copy automatically).
     """
     warnings.warn(
         "repro.api.open_store() is deprecated; use repro.api.connect"
@@ -261,5 +254,4 @@ def open_store(
         timeout_s=timeout_s,
         writable=writable,
         compact_interval_s=compact_interval_s,
-        mapped=mapped,
     )

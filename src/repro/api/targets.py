@@ -229,7 +229,6 @@ def build_engine(
     timeout_s: float | None = None,
     writable: bool = False,
     compact_interval_s: float = 0.0,
-    mapped: bool | None = None,
 ) -> QueryEngine:
     """Load a saved store into a ready engine (no deprecation warning).
 
@@ -239,7 +238,7 @@ def build_engine(
     """
     store: PostingStore
     if writable:
-        wstore = WritablePostingStore.open(directory, strict=strict, mapped=mapped)
+        wstore = WritablePostingStore.open(directory, strict=strict)
         if compact_interval_s > 0:
             wstore.start_compactor(compact_interval_s)
         store = wstore
@@ -261,7 +260,6 @@ _LOCAL_KWARGS = frozenset(
         "timeout_s",
         "writable",
         "compact_interval_s",
-        "mapped",
     )
 )
 _REMOTE_KWARGS = frozenset(
@@ -294,9 +292,8 @@ def connect(target: "str | QueryEngine", **options) -> QueryTarget:
             * a **directory path** written by :meth:`PostingStore.save` —
               returns a :class:`LocalTarget`; accepts the engine options
               ``strict`` / ``cache_entries`` / ``max_workers`` /
-              ``timeout_s`` / ``writable`` / ``compact_interval_s`` /
-              ``mapped`` (same semantics as the deprecated
-              ``open_store``);
+              ``timeout_s`` / ``writable`` / ``compact_interval_s`` (same
+              semantics as the deprecated ``open_store``);
             * an ``http://host:port`` **URL** — returns a
               :class:`RemoteTarget`; works identically against a single
               :class:`~repro.server.app.StoreServer` and a

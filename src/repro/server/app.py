@@ -71,6 +71,22 @@ _REASONS = {
     503: "Service Unavailable",
 }
 
+
+def _parse_body(body: bytes, from_body):
+    """Decode a JSON request body through *from_body*.
+
+    Every malformed body becomes a :class:`ProtocolError` (answered 400),
+    including one nested deeply enough that decoding it exhausts the
+    recursion limit.
+    """
+    try:
+        return from_body(json.loads(body.decode("utf-8")) if body else None)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ProtocolError(f"request body is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ProtocolError("request body is nested too deeply") from None
+
+
 #: Default bounded-queue depth (pending + running requests).
 DEFAULT_MAX_PENDING = 64
 #: Default worker threads executing engine queries.
@@ -395,38 +411,29 @@ class StoreServer:
             return
 
         # Admitted.  From here on, exactly one release() must happen: via
-        # the worker-future callback once submitted, or directly on any
-        # pre-submission error.
+        # the worker-future callback once submitted, or in the finally on
+        # any path that never submits.
+        fut = None
         try:
-            try:
-                parsed = json.loads(body.decode("utf-8")) if body else None
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                raise ProtocolError(f"request body is not valid JSON: {exc}") from exc
-            request = QueryRequest.from_body(parsed)
+            request = _parse_body(body, QueryRequest.from_body)
             timeout_s = self._deadline_s(headers)
-        except ProtocolError as exc:
-            self.admission.release()
-            await self._respond(
-                writer, 400, {"error": str(exc)}, keep_alive=keep_alive
-            )
-            self.metrics.record_response("bad_request", (loop.time() - t0) * 1000.0)
-            return
-
-        try:
             fut = loop.run_in_executor(
                 self._executor,
                 functools.partial(
                     self.engine.execute, request.to_query(), timeout_s=timeout_s
                 ),
             )
+            fut.add_done_callback(self._release_when_done)
+        except ProtocolError as exc:
+            rejected = (400, str(exc), "bad_request")
         except RuntimeError as exc:  # executor shut down mid-stop
-            self.admission.release()
-            await self._respond(
-                writer, 500, {"error": str(exc)}, keep_alive=False
-            )
-            self.metrics.record_response("error")
+            rejected = (500, str(exc), "error")
+        finally:
+            if fut is None:
+                self.admission.release()
+        if fut is None:
+            await self._reject(writer, *rejected, t0, keep_alive=keep_alive)
             return
-        fut.add_done_callback(self._release_when_done)
 
         grace = (
             None if timeout_s is None else max(0.1, timeout_s * self.grace_factor)
@@ -457,6 +464,23 @@ class StoreServer:
             writer, code, response.to_body(), keep_alive=keep_alive
         )
         self.metrics.record_response(response.status, (loop.time() - t0) * 1000.0)
+
+    async def _reject(
+        self,
+        writer: asyncio.StreamWriter,
+        code: int,
+        error: str,
+        outcome: str,
+        t0: float,
+        *,
+        keep_alive: bool,
+    ) -> None:
+        """Answer an admitted request that never reached a worker."""
+        await self._respond(
+            writer, code, {"error": error}, keep_alive=keep_alive and code < 500
+        )
+        elapsed_ms = (asyncio.get_running_loop().time() - t0) * 1000.0
+        self.metrics.record_response(outcome, elapsed_ms)
 
     def _release_when_done(self, fut: "asyncio.Future | Future") -> None:
         self.admission.release()
@@ -514,31 +538,24 @@ class StoreServer:
             self.metrics.record_response("shed", (loop.time() - t0) * 1000.0)
             return
 
+        fut = None
         try:
-            try:
-                parsed = json.loads(body.decode("utf-8")) if body else None
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                raise ProtocolError(f"request body is not valid JSON: {exc}") from exc
-            request = IngestRequest.from_body(parsed)
-        except ProtocolError as exc:
-            self.admission.release()
-            await self._respond(
-                writer, 400, {"error": str(exc)}, keep_alive=keep_alive
-            )
-            self.metrics.record_response("bad_request", (loop.time() - t0) * 1000.0)
-            return
-
-        try:
+            request = _parse_body(body, IngestRequest.from_body)
             fut = loop.run_in_executor(
                 self._executor,
                 functools.partial(store.ingest_batch, request.ops),
             )
+            fut.add_done_callback(self._release_when_done)
+        except ProtocolError as exc:
+            rejected = (400, str(exc), "bad_request")
         except RuntimeError as exc:  # executor shut down mid-stop
-            self.admission.release()
-            await self._respond(writer, 500, {"error": str(exc)}, keep_alive=False)
-            self.metrics.record_response("error")
+            rejected = (500, str(exc), "error")
+        finally:
+            if fut is None:
+                self.admission.release()
+        if fut is None:
+            await self._reject(writer, *rejected, t0, keep_alive=keep_alive)
             return
-        fut.add_done_callback(self._release_when_done)
 
         try:
             acked = await asyncio.shield(fut)

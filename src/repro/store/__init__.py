@@ -5,7 +5,8 @@ system that *serves* them.  This package is that system's kernel:
 
 * :class:`PostingStore` — named shards of compressed term lists, any
   codec per shard (registry members or the Adaptive wrapper), persisted
-  through :mod:`repro.core.serialize` with corruption-tolerant loading;
+  as one memory-mapped segment per shard with corruption-tolerant
+  loading;
 * :class:`DecodeCache` — bounded LRU of decoded arrays keyed by
   ``(shard, term, codec)`` with hit/miss/eviction counters;
 * :func:`compile_shard_plan` / :class:`Query` — term-level boolean
@@ -22,10 +23,13 @@ system that *serves* them.  This package is that system's kernel:
   crash recovery by replay, and background compaction that re-runs
   per-list codec selection (``docs/write_path.md``);
 * :class:`MappedSegment` / :class:`MappedPostings` — the v3 zero-copy
-  memory-mapped segment layout (``save(mapped=True)``,
-  :func:`migrate_store`, ``WritablePostingStore.open(mapped=True)``):
-  whole-shard segment files opened with no per-term parsing, terms
-  materialised lazily as views over the map (``docs/segment_format.md``).
+  segment layout, the only one :meth:`PostingStore.save` and compaction
+  write: whole-shard segment files opened with no per-term parsing,
+  terms materialised lazily as views over the map
+  (``docs/segment_format.md``).  Stores in the retired per-term layouts
+  (manifest v1/v2) are converted once by :func:`migrate_store` /
+  ``python -m repro.store migrate DIR``; every other reader rejects
+  them.
 
 Quickstart::
 

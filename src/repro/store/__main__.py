@@ -23,6 +23,8 @@ returned.  The crash-recovery suite SIGKILLs this process mid-run and
 uses those lines as the durability oracle: every op in a printed batch
 must survive replay.  ``python -m repro.store compact DIR`` runs one
 foreground compaction and prints the write-path counters.
+``python -m repro.store migrate DIR`` converts a store written in the
+retired per-term layout (manifest v1/v2) to v3 segments, once.
 
 Examples::
 
@@ -32,6 +34,7 @@ Examples::
     python -m repro.store --timeout-ms 50 --strict   # non-zero on any degradation
     python -m repro.store ingest /tmp/idx --batches 20 --seed 7
     python -m repro.store compact /tmp/idx
+    python -m repro.store migrate /tmp/old-idx
 """
 
 from __future__ import annotations
@@ -201,16 +204,9 @@ def _ingest_main(argv: list[str]) -> int:
         help="exit without close(): skips the final compaction so the "
         "next open exercises WAL replay",
     )
-    parser.add_argument(
-        "--mapped",
-        action="store_true",
-        help="persist compactions in the v3 memory-mapped segment layout",
-    )
     args = parser.parse_args(argv)
 
-    store = WritablePostingStore.open(
-        args.directory, mapped=True if args.mapped else None
-    )
+    store = WritablePostingStore.open(args.directory)
     if args.shard not in store.shard_names():
         store.create_shard(args.shard, codec=args.codec, universe=args.universe)
     batches = synthetic_ops(

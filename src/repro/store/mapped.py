@@ -1,12 +1,13 @@
 """Zero-copy memory-mapped (v3) segment format.
 
-A v2 store pays O(term count) Python parsing on every open: each term's
-``.rpro`` file is read, its fields copied into fresh heap arrays, and a
-``CompressedIntegerSet`` object graph built eagerly.  This module is the
-re-layout ROADMAP item 3 calls for, in the spirit of the ds2i/2i_bench
-length-prefixed binary collections: one segment file per shard, openable
-via ``mmap`` with **no per-term parse step**, so opening is flat in term
-count and the OS page cache becomes an L2 under the decode cache.
+The store's only on-disk format.  The retired per-term (v2) layout paid
+O(term count) Python parsing on every open: each term's ``.rpro`` file
+was read, its fields copied into fresh heap arrays, and a
+``CompressedIntegerSet`` object graph built eagerly.  This layout
+follows the ds2i/2i_bench length-prefixed binary collections instead:
+one segment file per shard, openable via ``mmap`` with **no per-term
+parse step**, so opening is flat in term count and the OS page cache
+becomes an L2 under the decode cache.
 
 Byte-level layout (little-endian throughout; full walk-through in
 ``docs/segment_format.md``)::
@@ -189,7 +190,11 @@ def write_mapped_segment(
     crc = zlib.crc32(meta)
     meta[: _HEADER.size] = header(crc)
 
-    with open(path, "wb") as fh:
+    # Temp file + rename: *items* may be views over the very file being
+    # replaced (``PostingStore.load(d).save(d)``), and truncating a
+    # mapped file in place would fault those readers.
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as fh:
         fh.write(meta)
         pos = 0
         for blob in blobs:
@@ -202,6 +207,7 @@ def write_mapped_segment(
         fh.flush()
         if fsync:
             os.fsync(fh.fileno())
+    os.replace(tmp, path)
     return file_len
 
 
@@ -567,7 +573,7 @@ class MappedPostings(MutableMapping):
     strict raises the :class:`MappedSegmentError`; lenient records the
     term in *failed_sink* (the owning shard's ``failed_terms``) and
     reports the term absent, which the plan compiler turns into a
-    *degraded* (partial) query, exactly like a lenient v2 load.
+    *degraded* (partial) query.
 
     ``cache_epoch`` is folded into decode-cache keys by the plan
     compiler so arrays cached against one mapped generation can never

@@ -9,11 +9,13 @@ shards, queries scatter over shards and gather partial results, and
 every decode funnels through :func:`repro.core.decode` so the engine's
 cache and metrics see all of it.
 
-Persistence reuses :mod:`repro.core.serialize` — one ``.rpro`` file per
-list plus a JSON manifest.  Loading is strict by default; with
-``strict=False`` a corrupt list is skipped and recorded (shard stays
-serveable, queries touching the lost term come back flagged partial)
-instead of taking the whole store down.
+Persistence is the v3 layout of :mod:`repro.store.mapped` — one
+memory-mapped ``.rpro3`` segment per shard plus a JSON manifest.  Loading
+is strict by default; with ``strict=False`` a corrupt list is skipped and
+recorded (shard stays serveable, queries touching the lost term come back
+flagged partial) instead of taking the whole store down.  Stores written
+in the retired per-term layouts (manifest versions 1 and 2) are read only
+by :func:`migrate_store`.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from repro.core.base import CompressedIntegerSet, IntegerSetCodec
 from repro.core.decode import ArrayCache, DecodeObserver, decode
 from repro.core.errors import ReproError
 from repro.core.registry import get_codec
-from repro.core.serialize import dump, load
+from repro.core.serialize import load
 from repro.store.errors import (
     DuplicateShardError,
     DuplicateTermError,
@@ -41,16 +43,13 @@ from repro.store.errors import (
 )
 
 _MANIFEST = "manifest.json"
-#: Version 2 added per-shard codec ``params`` (full configuration, not
-#: just the name) and the store ``generation`` counter; version-1
-#: manifests are still readable.  Version 3 replaces the per-term
-#: ``terms`` file map with one memory-mapped ``segment`` file per shard
-#: (:mod:`repro.store.mapped`); 1 and 2 remain readable, and v2 is
-#: still the default *write* format — v3 is opt-in via
-#: ``save(mapped=True)`` / :func:`migrate_store`.
-_MANIFEST_VERSION = 2
-_MANIFEST_VERSION_MAPPED = 3
-_READABLE_MANIFEST_VERSIONS = (1, 2, 3)
+#: The only manifest version written: one memory-mapped ``segment`` file
+#: per shard (:mod:`repro.store.mapped`), per-shard codec ``params`` and
+#: the store ``generation`` counter.
+_MANIFEST_VERSION = 3
+#: Retired per-term layouts (v1: no params; v2: one ``.rpro`` file per
+#: term), readable only by :func:`migrate_store`.
+_LEGACY_MANIFEST_VERSIONS = (1, 2)
 
 
 def resolve_codec(spec: str | IntegerSetCodec) -> IntegerSetCodec:
@@ -92,8 +91,9 @@ class Shard:
     name: str
     codec: IntegerSetCodec
     universe: int | None = None
-    #: A plain dict for in-heap shards; a lazy
-    #: :class:`repro.store.mapped.MappedPostings` for mapped (v3) ones.
+    #: A plain dict for in-memory shards; a lazy
+    #: :class:`repro.store.mapped.MappedPostings` for shards opened from
+    #: disk.
     postings: MutableMapping[str, CompressedIntegerSet] = field(
         default_factory=dict
     )
@@ -315,68 +315,55 @@ class PostingStore:
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
-    def save(self, directory: str | os.PathLike, *, mapped: bool = False) -> None:
-        """Write every shard under *directory* (manifest + segment files).
+    def save(self, directory: str | os.PathLike) -> None:
+        """Write every shard under *directory*: manifest + one segment each.
 
-        The manifest records each shard codec's full configuration via
+        Each shard becomes one v3 ``.rpro3`` segment (see
+        :mod:`repro.store.mapped` and ``docs/segment_format.md``),
+        openable with zero per-term parsing.  The manifest records each
+        shard codec's full configuration via
         :meth:`IntegerSetCodec.params`, and is written atomically (temp
         file + rename) so a reader never observes a half-written
         manifest.
-
-        The default layout (manifest version 2) is one ``.rpro`` file
-        per term.  With ``mapped=True`` the store is written in the v3
-        memory-mapped layout instead — one ``.rpro3`` segment per shard
-        (manifest version 3, ``segment`` entry in place of the ``terms``
-        map), openable with zero per-term parsing; see
-        :mod:`repro.store.mapped` and ``docs/segment_format.md``.
         """
+        from repro.store.mapped import MAPPED_SUFFIX, write_mapped_segment
+
         directory = os.fspath(directory)
         os.makedirs(directory, exist_ok=True)
         manifest = manifest_dict(self)
-        if mapped:
-            from repro.store.mapped import MAPPED_SUFFIX, write_mapped_segment
-
-            manifest["version"] = _MANIFEST_VERSION_MAPPED
-            for shard in self._shards.values():
-                shard_dir = os.path.join(directory, shard.name)
-                os.makedirs(shard_dir, exist_ok=True)
-                rel = os.path.join(
-                    shard.name, f"segment-g{self.generation:06d}{MAPPED_SUFFIX}"
-                )
-                write_mapped_segment(
-                    os.path.join(directory, rel),
-                    shard.postings.items(),
-                    generation=self.generation,
-                )
-                manifest["shards"][shard.name]["segment"] = rel
-        else:
-            for shard in self._shards.values():
-                shard_dir = os.path.join(directory, shard.name)
-                os.makedirs(shard_dir, exist_ok=True)
-                terms: dict[str, str] = {}
-                for i, (term, cs) in enumerate(sorted(shard.postings.items())):
-                    rel = os.path.join(shard.name, f"{i:06d}.rpro")
-                    dump(cs, os.path.join(directory, rel))
-                    terms[term] = rel
-                manifest["shards"][shard.name]["terms"] = terms
+        for shard in self._shards.values():
+            os.makedirs(os.path.join(directory, shard.name), exist_ok=True)
+            rel = os.path.join(
+                shard.name, f"segment-g{self.generation:06d}{MAPPED_SUFFIX}"
+            )
+            write_mapped_segment(
+                os.path.join(directory, rel),
+                shard.postings.items(),
+                generation=self.generation,
+            )
+            manifest["shards"][shard.name]["segment"] = rel
         write_manifest(directory, manifest)
 
     @classmethod
     def load(
         cls, directory: str | os.PathLike, *, strict: bool = True
     ) -> "PostingStore":
-        """Rebuild a store written by :meth:`save`.
+        """Open a store written by :meth:`save` (zero-copy, no per-term parse).
 
         Args:
             directory: the save directory.
-            strict: when True (default) the first corrupt list raises its
-                underlying error wrapped in :class:`ShardLoadError`, and
-                a shard whose manifest codec params disagree with the
-                registry's configuration raises
-                :class:`ManifestParamsError`; when False both are
-                recorded in ``store.load_errors`` (corrupt lists also in
-                the owning shard's ``failed_terms``) and loading
-                continues.
+            strict: when True (default) a damaged segment raises
+                :class:`MappedSegmentError` — at open for whole-file or
+                entry-table damage, on first access for one term's
+                payload — and a shard whose manifest codec params
+                disagree with the registry's configuration raises
+                :class:`ManifestParamsError`; when False the damage is
+                recorded (``store.load_errors`` and the owning shard's
+                ``failed_terms``), the affected terms read as absent,
+                and loading continues.
+
+        A store in a retired per-term layout (manifest version 1 or 2)
+        raises :class:`ReproError` naming :func:`migrate_store`.
         """
         store = cls()
         load_manifest_into(store, directory, strict=strict)
@@ -387,7 +374,7 @@ class PostingStore:
 # Manifest plumbing (shared with repro.store.segments)
 # ----------------------------------------------------------------------
 def manifest_dict(store: PostingStore) -> dict:
-    """The store's manifest skeleton — per-shard ``terms`` filled by callers."""
+    """The store's manifest skeleton — per-shard ``segment`` filled by callers."""
     return {
         "version": _MANIFEST_VERSION,
         "generation": store.generation,
@@ -396,7 +383,6 @@ def manifest_dict(store: PostingStore) -> dict:
                 "codec": shard.codec.name,
                 "params": shard.codec.params(),
                 "universe": shard.universe,
-                "terms": {},
             }
             for shard in (store.shard(n) for n in store.shard_names())
         },
@@ -421,6 +407,11 @@ def manifest_path(directory: str | os.PathLike) -> str:
     return os.path.join(os.fspath(directory), _MANIFEST)
 
 
+def read_manifest(directory: str | os.PathLike) -> dict:
+    with open(manifest_path(directory)) as fh:
+        return json.load(fh)
+
+
 def verify_codec_params(
     codec: IntegerSetCodec, manifest_params: Mapping | None
 ) -> None:
@@ -442,16 +433,33 @@ def load_manifest_into(
     """Populate *store* from a saved manifest; returns the manifest dict.
 
     Shared by :meth:`PostingStore.load` and the writable store's
-    recovery path (which replays the WAL on top afterwards).
+    recovery path (which replays the WAL on top afterwards).  Only the
+    v3 layout is accepted; a legacy per-term store must be migrated
+    first.
     """
     directory = os.fspath(directory)
-    with open(manifest_path(directory)) as fh:
-        manifest = json.load(fh)
-    if manifest.get("version") not in _READABLE_MANIFEST_VERSIONS:
-        raise ReproError(
-            f"unsupported store manifest version {manifest.get('version')!r}"
+    manifest = read_manifest(directory)
+    version = manifest.get("version")
+    if version != _MANIFEST_VERSION:
+        hint = (
+            "; convert it once with repro.store.migrate_store(directory) or "
+            "`python -m repro.store migrate DIR`"
+            if version in _LEGACY_MANIFEST_VERSIONS
+            else ""
         )
+        raise ReproError(f"unsupported store manifest version {version!r}{hint}")
+    for shard, spec in _create_shards(store, manifest, strict=strict):
+        if spec.get("segment") is not None:
+            _attach_mapped_shard(store, shard, directory, spec, strict=strict)
+    return manifest
+
+
+def _create_shards(
+    store: PostingStore, manifest: dict, *, strict: bool
+) -> list[tuple[Shard, Mapping]]:
+    """Create the manifest's shards (empty), verifying their codec params."""
     store.generation = int(manifest.get("generation", 0))
+    out = []
     for name, spec in manifest["shards"].items():
         shard = store.create_shard(
             name, codec=spec["codec"], universe=spec["universe"]
@@ -462,20 +470,8 @@ def load_manifest_into(
             if strict:
                 raise
             store.load_errors.append(err)
-        if spec.get("segment") is not None:
-            _attach_mapped_shard(store, shard, directory, spec, strict=strict)
-            continue
-        for term, rel in spec.get("terms", {}).items():
-            path = os.path.join(directory, rel)
-            try:
-                shard.postings[term] = load(path)
-            except Exception as exc:
-                err2 = ShardLoadError(name, term, path, exc)
-                if strict:
-                    raise err2 from exc
-                store.load_errors.append(err2)
-                shard.failed_terms[term] = str(exc)
-    return manifest
+        out.append((shard, spec))
+    return out
 
 
 def _attach_mapped_shard(
@@ -494,7 +490,7 @@ def _attach_mapped_shard(
     of a damaged segment degrades only the affected terms (pre-marked
     bounds failures land in ``failed_terms`` now; payload damage lands
     there at first touch); whole-file damage leaves the shard empty with
-    the error recorded, mirroring the v2 lenient contract.
+    the error recorded.
     """
     from repro.store.mapped import MappedPostings, MappedSegment
 
@@ -518,20 +514,38 @@ def _attach_mapped_shard(
         )
 
 
+def _load_legacy(directory: str, manifest: dict, *, strict: bool) -> PostingStore:
+    """Read a v1/v2 store: one ``serialize``d ``.rpro`` file per term."""
+    store = PostingStore()
+    for shard, spec in _create_shards(store, manifest, strict=strict):
+        for term, rel in spec.get("terms", {}).items():
+            path = os.path.join(directory, rel)
+            try:
+                shard.postings[term] = load(path)
+            except Exception as exc:
+                err = ShardLoadError(shard.name, term, path, exc)
+                if strict:
+                    raise err from exc
+                store.load_errors.append(err)
+                shard.failed_terms[term] = str(exc)
+    return store
+
+
 def migrate_store(directory: str | os.PathLike, *, strict: bool = True) -> dict:
     """One-shot, in-place migration of a legacy (v1/v2) store to v3.
 
-    Pending WAL files (a writable store closed mid-stream) are folded in
-    first via a compaction, so no acknowledged write is lost.  The store
-    is then rewritten in the mapped layout and the legacy per-term
-    ``.rpro`` files are deleted.  Idempotent: migrating a v3 store is a
-    no-op.  Returns a summary dict (``shards``, ``terms``,
-    ``segment_bytes``, ``removed_files``).
+    The only reader of the retired per-term layouts.  The store is
+    rewritten as one ``.rpro3`` segment per shard and the per-term
+    ``.rpro`` files are deleted.  Pending WAL files (a writable store
+    closed mid-stream) are then replayed over the migrated base and
+    folded in by one compaction, so no acknowledged write is lost.
+    Idempotent: migrating a v3 store is a no-op.  Returns a summary dict
+    (``shards``, ``terms``, ``segment_bytes``, ``removed_files``).
     """
     directory = os.fspath(directory)
-    with open(manifest_path(directory)) as fh:
-        version = json.load(fh).get("version")
-    if version == _MANIFEST_VERSION_MAPPED:
+    manifest = read_manifest(directory)
+    version = manifest.get("version")
+    if version == _MANIFEST_VERSION:
         store = PostingStore.load(directory, strict=strict)
         return {
             "already_mapped": True,
@@ -540,23 +554,25 @@ def migrate_store(directory: str | os.PathLike, *, strict: bool = True) -> dict:
             "segment_bytes": 0,
             "removed_files": 0,
         }
-    if any(fname.startswith("wal-") for fname in os.listdir(directory)):
-        from repro.store.segments import WritablePostingStore
-
-        writable = WritablePostingStore.open(directory, strict=strict)
-        writable.close(compact=True)
-    store = PostingStore.load(directory, strict=strict)
+    if version not in _LEGACY_MANIFEST_VERSIONS:
+        raise ReproError(f"unsupported store manifest version {version!r}")
+    store = _load_legacy(directory, manifest, strict=strict)
     legacy: list[str] = []
     for root, _dirs, files in os.walk(directory):
         legacy.extend(
             os.path.join(root, f) for f in files if f.endswith(".rpro")
         )
-    store.save(directory, mapped=True)
+    store.save(directory)
     for path in legacy:
         try:
             os.unlink(path)
         except OSError:
             pass
+    if any(fname.startswith("wal-") for fname in os.listdir(directory)):
+        from repro.store.segments import WritablePostingStore
+
+        WritablePostingStore.open(directory, strict=strict).close(compact=True)
+        store = PostingStore.load(directory, strict=strict)
     segment_bytes = 0
     for root, _dirs, files in os.walk(directory):
         segment_bytes += sum(

@@ -128,7 +128,8 @@ class WriteAheadLog:
         return self._pending
 
     def size_bytes(self) -> int:
-        self._fh.flush()
+        if not self._closed:
+            self._fh.flush()
         return os.path.getsize(self.path)
 
     def close(self) -> None:

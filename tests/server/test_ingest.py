@@ -200,3 +200,37 @@ def test_ingest_metrics_and_write_path_in_snapshot(
     write_path = snap["write_path"]
     assert write_path["pending_ops"] == 2
     assert write_path["wal_records"] >= 3
+
+
+# ----------------------------------------------------------------------
+# Hostile bodies: nesting past the recursion limit
+# ----------------------------------------------------------------------
+def test_deeply_nested_bodies_get_400_and_release_their_slot(
+    writable_engine, live_server
+):
+    """A body nested past the recursion limit is answered 400 and gives
+    its admission slot back: more such bodies than ``max_pending`` leave
+    the server serving valid queries."""
+    server = live_server(writable_engine, max_pending=4)
+    deep_list = b"[" * 5_000 + b"]" * 5_000
+    deep_and = (
+        b'{"op": "and", "children": [' * 2_000
+        + b'{"op": "term", "name": "t"}'
+        + b"]}" * 2_000
+    )
+    bodies = [
+        ("/query", b'{"v": 2, "query": ' + deep_list + b"}"),
+        ("/query", b'{"v": 2, "query": ' + deep_and + b"}"),
+        ("/ingest", b'{"v": 2, "ops": ' + deep_list + b"}"),
+    ]
+    for _ in range(3):  # 9 hostile bodies against 4 slots
+        for path, body in bodies:
+            status, _h, payload = _raw_request(server.port, "POST", path, body)
+            assert status == 400, (path, payload[:200])
+            assert "nested too deeply" in json.loads(payload)["error"]
+
+    valid = json.dumps({"v": 2, "query": "t"}).encode()
+    status, _h, _payload = _raw_request(server.port, "POST", "/query", valid)
+    assert status == 200
+    status, _h, payload = _raw_request(server.port, "GET", "/healthz")
+    assert json.loads(payload)["in_flight"] == 0

@@ -11,8 +11,15 @@ the concurrency rules over the tree (see ``docs/static_analysis.md``):
   re-entry and creating an unordered metrics→cache lock edge.
 * REPRO107 — ``WritablePostingStore._absorb_replay`` mutated the delta
   segment and revision counters without the write lock.
+
+It also pins a race the analyzer did not flag:
+
+* ``WritablePostingStore.write_stats`` (served as ``/metrics``) read
+  ``_wal`` without the write lock and flushed a log that compaction's
+  WAL rotation had just closed (``ValueError: flush of closed file``).
 """
 
+import sys
 import threading
 
 from repro.store.cache import CacheStats, DecodeCache
@@ -96,3 +103,38 @@ def test_wal_replay_holds_write_lock(tmp_path):
         runtime_witness.force_enable(False)
         runtime_witness.reset()
         seeding.close()
+
+
+def test_write_stats_never_sees_a_rotating_wal(tmp_path):
+    """Polling ``write_stats`` against a compaction loop raises nothing."""
+    store = WritablePostingStore.open(tmp_path, fsync=False)
+    store.create_shard("s", codec="Roaring", universe=4096)
+    errors: list[BaseException] = []
+    stop = threading.Event()
+
+    def poll() -> None:
+        while not stop.is_set():
+            try:
+                store.write_stats()
+            except BaseException as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+                return
+
+    pollers = [threading.Thread(target=poll, daemon=True) for _ in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for poller in pollers:
+            poller.start()
+        for i in range(200):
+            store.append("s", "t", [i])
+            store.compact()
+    finally:
+        stop.set()
+        for poller in pollers:
+            poller.join(timeout=10.0)
+        sys.setswitchinterval(interval)
+        store.close()
+    assert not any(p.is_alive() for p in pollers)
+    assert not errors, repr(errors[0])
+    assert store.write_stats()["wal_records"] >= 0  # readable after close

@@ -2,11 +2,12 @@
 
 The mapped battery's core invariant: writing random posting sets in the
 v3 segment layout and reopening them via ``mmap`` must be **bit-exact**
-against three independent references —
+against independent references —
 
 * the original in-memory arrays (the numpy differential oracle);
-* the legacy v2 in-heap load of the *same* store;
-* the cache-aware served decode path (``decode_term``), mapped vs not.
+* the cache-aware served decode path (``decode_term``) of the same
+  store held in memory, mapped vs not;
+* a store written in the retired v1/v2 per-term layouts and migrated.
 
 Codecs sweep the whole registry plus ``Adaptive``, so all 24 wire
 formats parse off an aligned zero-copy view.  A second suite checks the
@@ -17,6 +18,8 @@ mapped memory.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -25,6 +28,7 @@ from hypothesis import strategies as st
 from repro import all_codec_names
 from repro.core.decode import decode
 from repro.core.registry import get_codec
+from repro.core.serialize import dumps
 from repro.store.mapped import (
     MappedIntegerSet,
     MappedPostings,
@@ -32,6 +36,7 @@ from repro.store.mapped import (
     write_mapped_segment,
 )
 from repro.store.store import PostingStore, migrate_store
+from tests.store.legacy_store import save_legacy
 
 SETTINGS = settings(
     max_examples=10,
@@ -83,19 +88,18 @@ def _build_store(codec: str, table) -> PostingStore:
 @SETTINGS
 @given(table=posting_tables())
 def test_mapped_store_is_bit_exact_for_every_codec(codec, table, tmp_path_factory):
-    """v3 load == v2 load == original arrays, for all 24 codecs + Adaptive."""
+    """v3 load == in-memory store == original arrays, for all 24 codecs
+    + Adaptive."""
     tmp = tmp_path_factory.mktemp("mapped")
     store = _build_store(codec, table)
-    store.save(tmp / "v2")
-    store.save(tmp / "v3", mapped=True)
+    store.save(tmp / "v3")
 
-    legacy = PostingStore.load(tmp / "v2")
     mapped = PostingStore.load(tmp / "v3")
     assert isinstance(mapped.shard("s0").postings, MappedPostings)
 
     for term, vals in table.items():
         off_map = mapped.decode_term("s0", term)
-        in_heap = legacy.decode_term("s0", term)
+        in_heap = store.decode_term("s0", term)
         assert np.array_equal(off_map, vals), (codec, term)
         assert np.array_equal(off_map, in_heap), (codec, term)
 
@@ -106,19 +110,68 @@ def test_mapped_store_is_bit_exact_for_every_codec(codec, table, tmp_path_factor
 
 @pytest.mark.parametrize("codec", ["Roaring", "WAH", "GroupVB", "Adaptive"])
 @SETTINGS
-@given(table=posting_tables())
-def test_migration_preserves_every_list(codec, table, tmp_path_factory):
+@given(table=posting_tables(), version=st.sampled_from([1, 2]))
+def test_migration_preserves_every_list(codec, table, version, tmp_path_factory):
     tmp = tmp_path_factory.mktemp("migrate")
     store = _build_store(codec, table)
-    store.save(tmp)
+    save_legacy(store, tmp, version=version)
     summary = migrate_store(tmp)
     assert not summary["already_mapped"]
     assert summary["terms"] == len(table)
+    assert summary["removed_files"] == len(table)
 
     reopened = PostingStore.load(tmp)
     assert isinstance(reopened.shard("s0").postings, MappedPostings)
     for term, vals in table.items():
         assert np.array_equal(reopened.decode_term("s0", term), vals)
+        # Bit-exact: the migrated blob is the one the codec produced.
+        mapped_cs = reopened.shard("s0").postings[term]
+        assert bytes(mapped_cs.raw_blob) == dumps(
+            store.shard("s0").postings[term], aligned=True
+        )
+
+
+@pytest.mark.parametrize("codec", ALL_CODECS)
+def test_migration_is_bit_exact_for_every_codec(codec, tmp_path):
+    table = {
+        "dense": np.arange(100, 2_100, dtype=np.int64),
+        "sparse": np.arange(0, UNIVERSE, 97, dtype=np.int64),
+        "edge": np.array([0, UNIVERSE - 1], dtype=np.int64),
+    }
+    store = _build_store(codec, table)
+    save_legacy(store, tmp_path)
+    migrate_store(tmp_path)
+    reopened = PostingStore.load(tmp_path)
+    for term, vals in table.items():
+        assert np.array_equal(reopened.decode_term("s0", term), vals), term
+        assert bytes(reopened.shard("s0").postings[term].raw_blob) == dumps(
+            store.shard("s0").postings[term], aligned=True
+        ), term
+
+
+def test_legacy_store_is_rejected_outside_migration(tmp_path):
+    """Every reader but migrate_store refuses v1/v2 and names the fix."""
+    from repro.api import connect
+    from repro.core.errors import ReproError
+    from repro.store.segments import WritablePostingStore
+
+    for version in (1, 2):
+        directory = tmp_path / f"v{version}"
+        save_legacy(_build_store("Roaring", {"t": np.arange(5)}), directory, version=version)
+        for opener in (
+            PostingStore.load,
+            connect,
+            lambda d: connect(d, writable=True),
+            WritablePostingStore.open,
+        ):
+            with pytest.raises(ReproError, match="migrate") as info:
+                opener(str(directory))
+            assert "python -m repro.store migrate" in str(info.value)
+        # Nothing was converted or deleted on the way.
+        assert json.loads((directory / "manifest.json").read_text())["version"] == version
+        assert (directory / "s0" / "000000.rpro").exists()
+        assert not list(directory.rglob("*.rpro3"))
+        assert migrate_store(directory)["terms"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -202,3 +255,45 @@ def test_mapped_shard_rejects_mutation(tmp_path):
         mp["b"] = mp["a"]
     with pytest.raises(MappedSegmentError):
         del mp["a"]
+
+
+def test_migration_folds_pending_wal_and_is_idempotent(tmp_path):
+    """A legacy writable store closed mid-stream keeps every logged op:
+    migration replays the WAL over the migrated base, then compacts."""
+    from repro.store.wal import OP_ADD, OP_DELETE, WriteAheadLog
+
+    save_legacy(_build_store("WAH", {"t": np.arange(0, 100, 10)}), tmp_path)
+    wal = WriteAheadLog(tmp_path / "wal-000001.log")
+    wal.append({"op": OP_ADD, "shard": "s0", "term": "t", "values": [5, 95]})
+    wal.append({"op": OP_DELETE, "shard": "s0", "term": "t", "values": [0]})
+    wal.append({"op": OP_ADD, "shard": "s0", "term": "fresh", "values": [3]})
+    wal.close()
+
+    summary = migrate_store(tmp_path)
+    assert not summary["already_mapped"]
+    assert summary["terms"] == 2 and summary["removed_files"] == 1
+    assert not (tmp_path / "wal-000001.log").exists()  # folded, then truncated
+    assert not list(tmp_path.rglob("*.rpro"))
+
+    store = PostingStore.load(tmp_path)
+    expected = sorted({*range(10, 100, 10), 5, 95})
+    assert store.decode_term("s0", "t").tolist() == expected
+    assert store.decode_term("s0", "fresh").tolist() == [3]
+
+    again = migrate_store(tmp_path)
+    assert again["already_mapped"] and again["terms"] == 2
+    assert PostingStore.load(tmp_path).decode_term("s0", "t").tolist() == expected
+
+
+def test_resave_into_the_directory_it_was_loaded_from(tmp_path):
+    """``load(d).save(d)`` rewrites segments its own postings still view;
+    the writer replaces the file by rename, never truncating it in place."""
+    table = {"a": np.arange(0, 5_000, 3), "b": np.arange(7, 9_000, 11)}
+    _build_store("Roaring", table).save(tmp_path)
+    loaded = PostingStore.load(tmp_path)
+    held = {t: loaded.shard("s0").postings[t] for t in table}  # live views
+    loaded.save(tmp_path)
+    for term, vals in table.items():
+        assert np.array_equal(decode(held[term]), vals)
+        assert np.array_equal(PostingStore.load(tmp_path).decode_term("s0", term), vals)
+    assert not list(tmp_path.rglob("*.tmp"))

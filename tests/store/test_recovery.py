@@ -25,6 +25,7 @@ import pytest
 
 import repro
 from repro.store.engine import QueryEngine
+from repro.store.mapped import MappedPostings
 from repro.store.plan import Term
 from repro.store.segments import WritablePostingStore
 from repro.store.wal import OP_SHARD, replay_wal
@@ -37,7 +38,7 @@ _N_TERMS = 16
 _DOMAIN = 2**17
 
 
-def _spawn_ingest(directory, *, batches, compact_every=0, sleep_ms=2.0, mapped=False):
+def _spawn_ingest(directory, *, batches, compact_every=0, sleep_ms=2.0):
     cmd = [
         sys.executable,
         "-m",
@@ -60,8 +61,6 @@ def _spawn_ingest(directory, *, batches, compact_every=0, sleep_ms=2.0, mapped=F
     ]
     if compact_every:
         cmd += ["--compact-every", str(compact_every)]
-    if mapped:
-        cmd += ["--mapped"]
     env = dict(os.environ)
     env["PYTHONPATH"] = _SRC + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.Popen(
@@ -233,12 +232,11 @@ def test_clean_ingest_run_is_bit_exact_after_reopen(tmp_path):
 
 
 def test_sigkill_mid_ingest_recovers_on_mapped_base(tmp_path):
-    """Same durability contract when segments are v3 memory-mapped files:
-    WAL replay over mapped bases serves the acked prefix bit-exact, and
-    compaction after recovery rewrites the mapped segments in place."""
-    proc = _spawn_ingest(
-        tmp_path, batches=5_000, compact_every=3, sleep_ms=0.5, mapped=True
-    )
+    """Same durability contract once compactions have written v3
+    memory-mapped segments: WAL replay over mapped bases serves the acked
+    prefix bit-exact, and compaction after recovery rewrites the mapped
+    segments in place."""
+    proc = _spawn_ingest(tmp_path, batches=5_000, compact_every=3, sleep_ms=0.5)
     try:
         acked = _kill_after_acks(proc, min_acks=7)
     finally:
@@ -255,8 +253,11 @@ def test_sigkill_mid_ingest_recovers_on_mapped_base(tmp_path):
     assert not glob.glob(os.path.join(str(tmp_path), "*", "*.rpro"))
 
     durable = _wal_data_ops(tmp_path)
-    store = WritablePostingStore.open(tmp_path)  # inherits mapped=True
-    assert store.mapped
+    store = WritablePostingStore.open(tmp_path)
+    assert all(
+        isinstance(store.shard(n).postings, MappedPostings)
+        for n in store.shard_names()
+    )
     # Recovered state = mapped segments + WAL replay.  The kill may have
     # landed mid-compaction, so (as in the churn test above) hold the
     # state to *some* op-stream prefix covering at least the acked ops.
@@ -298,27 +299,6 @@ def test_sigkill_mid_ingest_recovers_on_mapped_base(tmp_path):
         per_shard.setdefault(os.path.dirname(seg), []).append(seg)
     assert all(len(v) == 1 for v in per_shard.values()), per_shard
     store.close()
-
-
-def test_clean_mapped_run_matches_legacy_run(tmp_path):
-    """A mapped ingest and a legacy ingest of the same op stream converge
-    to the same served values."""
-    legacy_dir, mapped_dir = tmp_path / "legacy", tmp_path / "mapped"
-    for directory, mapped in ((legacy_dir, False), (mapped_dir, True)):
-        # compact_every makes the base durable: mapped-ness lives in the
-        # manifest, which only exists once a compaction has run.
-        proc = _spawn_ingest(
-            directory, batches=8, compact_every=4, sleep_ms=0.0, mapped=mapped
-        )
-        _out, err = proc.communicate(timeout=120)
-        assert proc.returncode == 0, err.decode()
-
-    oracle = _apply(_flat_ops(8))
-    for directory, expect_mapped in ((legacy_dir, False), (mapped_dir, True)):
-        store = WritablePostingStore.open(directory)
-        assert store.mapped is expect_mapped
-        _assert_store_matches(store, oracle)
-        store.close()
 
 
 def test_compact_subcommand_seals_wal(tmp_path):

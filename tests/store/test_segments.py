@@ -191,8 +191,8 @@ def test_compact_drops_fully_deleted_terms(tmp_path):
     store.compact()
     store.delete("s0", "gone", [1, 2])
     store.compact()
-    manifest = json.load(open(manifest_path(tmp_path)))
-    assert "gone" not in manifest["shards"]["s0"]["terms"]
+    assert "gone" not in store.shard("s0").postings
+    assert "gone" not in PostingStore.load(tmp_path).shard("s0").postings
     result = _query(store, "gone")
     assert result.values is not None and result.values.tolist() == []
     store.close()
@@ -203,11 +203,12 @@ def test_compact_removes_replaced_segment_files(tmp_path):
     store.create_shard("s0", codec="Roaring", universe=4096)
     store.append("s0", "t", [1])
     store.compact()
-    first_gen = set(glob.glob(str(tmp_path / "s0" / "*.rpro")))
+    first_gen = set(glob.glob(str(tmp_path / "s0" / "*.rpro3")))
     store.append("s0", "t", [2])
     store.compact()
-    second_gen = set(glob.glob(str(tmp_path / "s0" / "*.rpro")))
-    # The rewritten term's old file is gone, not accumulating forever.
+    second_gen = set(glob.glob(str(tmp_path / "s0" / "*.rpro3")))
+    # The rewritten shard's old segment is gone, not accumulating forever.
+    assert len(first_gen) == len(second_gen) == 1
     assert first_gen.isdisjoint(second_gen)
     store.close()
 
@@ -343,12 +344,15 @@ def test_orphan_segment_files_are_garbage_collected(tmp_path):
     store.create_shard("s0", codec="Roaring", universe=4096)
     store.append("s0", "t", [1])
     store.close()
-    orphan = tmp_path / "s0" / "g000099-000000.rpro"
+    orphan = tmp_path / "s0" / "segment-g000099.rpro3"
     orphan.write_bytes(b"leftover from an interrupted compaction")
+    torn = tmp_path / "s0" / "segment-g000100.rpro3.tmp"
+    torn.write_bytes(b"half-written segment")
     stale_tmp = tmp_path / "manifest.json.tmp"
     stale_tmp.write_bytes(b"{}")
     WritablePostingStore.open(tmp_path, fsync=False).close()
     assert not orphan.exists()
+    assert not torn.exists()
     assert not stale_tmp.exists()
 
 
@@ -366,7 +370,7 @@ def test_recovery_preserves_multi_shard_ops(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Manifest v2: codec params recorded and verified
+# Manifest: codec params recorded and verified
 # ----------------------------------------------------------------------
 def test_manifest_records_codec_params(tmp_path):
     store = WritablePostingStore.open(tmp_path)
@@ -374,7 +378,7 @@ def test_manifest_records_codec_params(tmp_path):
     store.append("s0", "t", [1])
     store.close()
     manifest = json.load(open(manifest_path(tmp_path)))
-    assert manifest["version"] == 2
+    assert manifest["version"] == 3
     assert manifest["shards"]["s0"]["params"] == {"array_limit": 4096}
 
 
@@ -443,3 +447,26 @@ def test_background_compactor_drains_deltas(tmp_path):
     assert store.generation >= 1
     assert _query(store, "t").values.tolist() == [1, 2, 3]
     store.close()
+
+
+def test_compactor_keeps_draining_when_adds_outgrow_an_implicit_universe(tmp_path):
+    """A shard created without a universe re-encodes a term whose new
+    maximum exceeds its old one.  Compaction used to reuse the base
+    list's universe and raise ``ValueError``, which killed the background
+    compactor and left pending ops undrained forever."""
+    store = WritablePostingStore.open(tmp_path, fsync=False)
+    store.create_shard("s0", codec="Roaring")
+    store.append("s0", "t", list(range(100)))
+    store.compact()
+    store.start_compactor(interval_s=0.01)
+    store.append("s0", "t", [5_000])
+    deadline = threading.Event()
+    for _ in range(500):
+        if store.pending_ops() == 0:
+            break
+        deadline.wait(0.01)
+    assert store.pending_ops() == 0
+    assert _query(store, "t").values.tolist() == list(range(100)) + [5_000]
+    store.close()
+    reopened = PostingStore.load(tmp_path)
+    assert reopened.decode_term("s0", "t").tolist() == list(range(100)) + [5_000]

@@ -143,36 +143,32 @@ def _saved_store(tmp_path):
     return directory
 
 
-def _corrupt_term(directory, term: str) -> None:
-    import json
-
-    manifest = json.loads((directory / "manifest.json").read_text())
-    rel = manifest["shards"]["s0"]["terms"][term]
-    path = directory / rel
-    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
-
-
 def test_store_load_strict_raises_on_truncated_list(tmp_path):
-    from repro.store import PostingStore, ShardLoadError
+    """strict: a truncated blob inside the segment raises, naming the term
+    and carrying the codec's error, when the term is first read (the
+    zero-copy open does not parse terms)."""
+    from repro.store import MappedSegmentError, PostingStore
+    from tests.store.segment_damage import truncate_term_blob
 
     directory = _saved_store(tmp_path)
-    _corrupt_term(directory, "doomed")
-    with pytest.raises(ShardLoadError) as exc_info:
-        PostingStore.load(directory)
+    truncate_term_blob(directory, "s0", "doomed")
+    store = PostingStore.load(directory)
+    assert np.array_equal(store.decode_term("s0", "good"), np.arange(0, 3_000, 3))
+    with pytest.raises(MappedSegmentError) as exc_info:
+        store.decode_term("s0", "doomed")
     assert exc_info.value.term == "doomed"
-    assert isinstance(exc_info.value.cause, CorruptPayloadError)
+    assert isinstance(exc_info.value.__cause__, CorruptPayloadError)
 
 
 def test_store_load_lenient_records_and_serves(tmp_path):
     """strict=False: the corrupt term is skipped and recorded; queries
     touching it come back flagged partial, everything else still serves."""
     from repro.store import Or, PostingStore, QueryEngine
+    from tests.store.segment_damage import truncate_term_blob
 
     directory = _saved_store(tmp_path)
-    _corrupt_term(directory, "doomed")
+    truncate_term_blob(directory, "s0", "doomed")
     store = PostingStore.load(directory, strict=False)
-    assert [e.term for e in store.load_errors] == ["doomed"]
-    assert "doomed" in store.shard("s0").failed_terms
 
     engine = QueryEngine(store)
     healthy = engine.execute("good")
@@ -182,6 +178,7 @@ def test_store_load_lenient_records_and_serves(tmp_path):
     assert hurt.partial and not hurt.ok
     assert hurt.degraded_terms == ("doomed",)
     assert hurt.values.size == 1_000  # the surviving leaf still answers
+    assert "doomed" in store.shard("s0").failed_terms
 
 
 def test_store_load_rejects_bad_manifest_version(tmp_path):
