@@ -12,6 +12,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from repro.bench.experiments import EXPERIMENTS
@@ -119,8 +120,20 @@ def main(argv: list[str] | None = None) -> int:
     if args.json:
         import json
 
-        print(json.dumps(json_out, indent=1))
+        print(json.dumps(strict_json(json_out), indent=1, allow_nan=False))
     return 0
+
+
+def strict_json(obj):
+    """*obj* with every non-finite float (an unmeasured metric) as None,
+    so ``--json`` output is strict JSON (``null``, never bare ``NaN``)."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: strict_json(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [strict_json(value) for value in obj]
+    return obj
 
 
 def _write_svgs(directory: str, exp_id: str, rows, metrics) -> None:

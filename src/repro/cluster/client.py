@@ -16,11 +16,7 @@ from __future__ import annotations
 
 import json
 
-from repro.api.errors import (
-    ProtocolError,
-    QueryRejectedError,
-    ShardMapStaleError,
-)
+from repro.api.errors import ProtocolError, ShardMapStaleError
 from repro.cluster.shardmap import ShardMap
 from repro.server.client import StoreClient
 from repro.server.protocol import (
@@ -88,24 +84,17 @@ class RouterClient(StoreClient):
             headers[SHARDMAP_VERSION_HEADER] = str(self.map.version)
             if deadline_ms is not None:
                 headers[DEADLINE_HEADER] = f"{deadline_ms:g}"
-            status, _resp_headers, parsed = self._request_json(
+            status, resp_headers, payload = self._request(
                 "POST", "/query", body, headers
             )
-            if status == 410:
-                self.fetch_shardmap()
-                if replay == 0:
-                    continue
-                raise ShardMapStaleError(
-                    str(parsed.get("error", "shard map stale")),
-                    current_version=parsed.get("current_version"),
-                )
-            if status == 400:
-                raise QueryRejectedError(
-                    str(parsed.get("error", "router rejected the request"))
-                )
-            if status not in (200, 500):
-                raise ProtocolError(
-                    f"unexpected HTTP {status} from /query: {parsed!r}"
-                )
-            return QueryResponse.from_body(parsed)
+            if status != 410:
+                return self._query_answer(status, resp_headers, payload)
+            self.fetch_shardmap()
+            if replay == 0:
+                continue
+            parsed = self._parse_json("POST", "/query", payload)
+            raise ShardMapStaleError(
+                str(parsed.get("error", "shard map stale")),
+                current_version=parsed.get("current_version"),
+            )
         return None  # pragma: no cover — loop always returns or raises

@@ -17,12 +17,15 @@ points at either interchangeably.  Per query it:
    errors outright, preferring backends that are not in **cooldown**
    (a backend that sheds with 503 is deprioritised until its
    ``Retry-After`` horizon passes — admission-aware routing);
-4. merges the partial answers: values are unioned (shards partition the
-   document space, mirroring the engine's own cross-shard union),
-   degraded flags are OR-ed, and the response ``detail`` reports the
-   distributed facts — ``replicas {answered, of}``, per-backend
-   ``failed_shards`` attribution, hedge counts, and the current
-   ``max_staleness_ms`` replication bound.
+4. merges the partial answers: each leg asks its backend for a binary
+   v3 answer and decodes it straight to an int64 array, and the arrays
+   are unioned with :func:`~repro.core.base.union_sorted_arrays`
+   (shards partition the document space, mirroring the engine's own
+   cross-shard union); the merged answer goes back in the caller's wire
+   version (binary for v3, JSON for v2).  Degraded flags are OR-ed, and
+   the response ``detail`` reports the distributed facts — ``replicas
+   {answered, of}``, per-backend ``failed_shards`` attribution, hedge
+   counts, and the current ``max_staleness_ms`` replication bound.
 
 The merged status keeps the single-node taxonomy (``failed`` >
 ``timed_out`` > ``partial`` > ``ok``): a query only fails outright when
@@ -40,21 +43,31 @@ Followers therefore serve reads with bounded staleness; the bound
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
+
+import numpy as np
 
 from repro.api.errors import BackendUnavailableError, ProtocolError, ShardMapError
 from repro.cluster.metrics import RouterMetrics
 from repro.cluster.shardmap import ShardMap
-from repro.cluster.transport import backend_request_json
-from repro.server.app import BadHttpRequest, encode_http_response, read_http_request
+from repro.cluster.transport import backend_request, backend_request_json
+from repro.core.base import union_sorted_arrays
+from repro.server.app import (
+    BadHttpRequest,
+    encode_http_response,
+    encode_query_answer,
+    parse_body,
+    read_http_request,
+)
 from repro.server.protocol import (
     DEADLINE_HEADER,
-    HTTP_STATUS_FOR,
     SHARDMAP_VERSION_HEADER,
     IngestRequest,
     IngestResponse,
     QueryRequest,
     QueryResponse,
+    decode_query_response,
 )
 
 #: Hedge delay bounds (ms).  The delay is the chosen replica's rolling
@@ -97,6 +110,19 @@ class _GroupAnswer:
         unreachable backend.
         """
         return self.response is not None and self.response.status != "failed"
+
+
+def merge_group_values(groups: "list[np.ndarray | None]") -> np.ndarray:
+    """Union of the groups' sorted answers; ``None`` (no values) adds nothing.
+
+    Shards partition the document space, so this mirrors the engine's
+    own cross-shard :func:`union_sorted_arrays` fold.
+    """
+    return functools.reduce(
+        union_sorted_arrays,
+        (g for g in groups if g is not None),
+        np.empty(0, dtype=np.int64),
+    )
 
 
 def _retrieve_exception(task: "asyncio.Task") -> None:
@@ -339,13 +365,7 @@ class ClusterRouter:
                     ),
                 )
                 return
-            try:
-                parsed = json.loads(body.decode("utf-8")) if body else None
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                raise ProtocolError(
-                    f"request body is not valid JSON: {exc}"
-                ) from exc
-            request = QueryRequest.from_body(parsed)
+            request = parse_body(body, QueryRequest.from_body)
             shards = request.shards if request.shards is not None else self.map.shards
             groups = self.map.groups(shards)
         except (ProtocolError, ShardMapError) as exc:
@@ -367,13 +387,12 @@ class ClusterRouter:
             response = self._merge(request, answers, (loop.time() - t0) * 1000.0)
         finally:
             self.in_flight -= 1
-        await self._respond(
-            writer,
-            HTTP_STATUS_FOR[response.status],
-            response.to_body(),
-            keep_alive=keep_alive,
+        status, answer = encode_query_answer(
+            response, request.version, keep_alive=keep_alive
         )
-        self.metrics.record_query(response.status, (loop.time() - t0) * 1000.0)
+        writer.write(answer)
+        await writer.drain()
+        self.metrics.record_query(status, (loop.time() - t0) * 1000.0)
 
     def _ranked(self, replicas: tuple[str, ...]) -> list[str]:
         """Replicas by preference: out-of-cooldown first, fastest p95 first."""
@@ -408,9 +427,9 @@ class ClusterRouter:
             extra = ((DEADLINE_HEADER, deadline_raw),)
         t0 = loop.time()
         self.metrics.fanout_requests += 1
-        status, resp_headers, parsed = await backend_request_json(
+        status, resp_headers, payload = await backend_request(
             backend_id, backend.host, backend.port,
-            "POST", "/query", sub.to_body(),
+            "POST", "/query", json.dumps(sub.to_body()).encode("utf-8"),
             headers=extra, timeout_s=self.timeout_s,
         )
         latency_ms = (loop.time() - t0) * 1000.0
@@ -423,14 +442,17 @@ class ClusterRouter:
                 cooldown = self.cooldown_s
             stats.record_shed(loop.time() + max(0.0, cooldown))
             raise BackendUnavailableError(backend_id, "shed the request (503)")
-        if status not in (200, 500):
-            stats.record_failure()
-            raise BackendUnavailableError(
-                backend_id,
-                f"HTTP {status}: {parsed.get('error', 'unexpected status')}",
+        try:
+            if status not in (200, 500):
+                raise ProtocolError(f"HTTP {status}: {payload[:200]!r}")
+            response = decode_query_response(
+                payload, resp_headers.get("content-type")
             )
+        except ProtocolError as exc:
+            stats.record_failure()
+            raise BackendUnavailableError(backend_id, str(exc)) from exc
         stats.record_success(latency_ms)
-        return QueryResponse.from_body(parsed)
+        return response
 
     async def _query_group(
         self, replicas, shards, request: QueryRequest, deadline_raw
@@ -522,15 +544,12 @@ class ClusterRouter:
         failed_shards: list[str] = []
         failed_backends: dict[str, list[str]] = {}
         degraded_terms: list[str] = []
-        values: set[int] = set()
         shards_queried = 0
         severity = 0  # max over usable answers: ok=0 partial=1 timed_out=2
         first_error = None
         for a in answered:
             r = a.response
             severity = max(severity, min(_SEVERITY.get(r.status, 2), 2))
-            if r.values is not None:
-                values.update(r.values)
             shards_queried += r.shards_queried
             failed_shards.extend(r.failed_shards)
             degraded_terms.extend(r.degraded_terms)
@@ -557,7 +576,7 @@ class ClusterRouter:
             out_values = None
         else:
             status = ("ok", "partial", "timed_out")[severity]
-            out_values = sorted(values)
+            out_values = merge_group_values([a.response.values for a in answered])
 
         detail: dict = {
             "replicas": {"answered": len(answered), "of": len(answers)},
@@ -579,7 +598,7 @@ class ClusterRouter:
         return QueryResponse(
             status=status,
             values=out_values if status != "failed" else None,
-            n_results=len(out_values) if (
+            n_results=int(out_values.size) if (
                 out_values is not None and status != "failed"
             ) else None,
             latency_ms=latency_ms,
@@ -609,13 +628,7 @@ class ClusterRouter:
                     ),
                 )
                 return
-            try:
-                parsed = json.loads(body.decode("utf-8")) if body else None
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                raise ProtocolError(
-                    f"request body is not valid JSON: {exc}"
-                ) from exc
-            request = IngestRequest.from_body(parsed)
+            request = parse_body(body, IngestRequest.from_body)
             by_primary: dict[str, list] = {}
             by_follower: dict[str, list] = {}
             for op in request.ops:

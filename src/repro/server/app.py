@@ -48,6 +48,7 @@ from repro.server.metrics import ServerMetrics
 from repro.server.protocol import (
     DEADLINE_HEADER,
     HTTP_STATUS_FOR,
+    JSON_CONTENT_TYPE,
     MAX_BODY_BYTES,
     IngestRequest,
     IngestResponse,
@@ -55,6 +56,7 @@ from repro.server.protocol import (
     QueryRequest,
     QueryResponse,
     abandoned_response,
+    encode_query_response,
     response_from_result,
 )
 from repro.store.engine import QueryEngine
@@ -141,15 +143,17 @@ async def read_http_request(
 
 def _encode_response(
     code: int,
-    body: dict,
+    body: dict | bytes,
     *,
     keep_alive: bool = True,
     extra_headers: tuple[tuple[str, str], ...] = (),
+    content_type: str = JSON_CONTENT_TYPE,
 ) -> bytes:
-    payload = json.dumps(body).encode("utf-8")
+    """One HTTP response; a dict *body* is sent as JSON, bytes as given."""
+    payload = body if isinstance(body, bytes) else json.dumps(body).encode("utf-8")
     lines = [
         f"HTTP/1.1 {code} {_REASONS[code]}",
-        "Content-Type: application/json",
+        f"Content-Type: {content_type}",
         f"Content-Length: {len(payload)}",
         f"Connection: {'keep-alive' if keep_alive else 'close'}",
     ]
@@ -157,9 +161,39 @@ def _encode_response(
     return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + payload
 
 
+def encode_query_answer(
+    response: QueryResponse, version: int, *, keep_alive: bool = True
+) -> tuple[str, bytes]:
+    """``(status, HTTP answer)`` to a ``/query`` request of wire *version*.
+
+    A response the v3 frame cannot carry (a value outside uint32) is
+    answered as a ``failed`` response naming the reason, never truncated;
+    the returned status is the one actually sent.
+    """
+    try:
+        payload, content_type = encode_query_response(response, version)
+    except ProtocolError as exc:
+        response = QueryResponse(
+            status="failed",
+            values=None,
+            n_results=None,
+            latency_ms=response.latency_ms,
+            error=f"cannot encode the answer: {exc}",
+            query_id=response.query_id,
+        )
+        payload, content_type = encode_query_response(response, version)
+    return response.status, _encode_response(
+        HTTP_STATUS_FOR[response.status],
+        payload,
+        keep_alive=keep_alive,
+        content_type=content_type,
+    )
+
+
 #: Public names for the HTTP plumbing the cluster router shares.
 encode_http_response = _encode_response
 BadHttpRequest = _BadRequest
+parse_body = _parse_body
 
 
 class StoreServer:
@@ -459,11 +493,12 @@ class StoreServer:
                 error=f"{type(exc).__name__}: {exc}",
                 query_id=request.query_id,
             )
-        code = HTTP_STATUS_FOR[response.status]
-        await self._respond(
-            writer, code, response.to_body(), keep_alive=keep_alive
+        status, answer = encode_query_answer(
+            response, request.version, keep_alive=keep_alive
         )
-        self.metrics.record_response(response.status, (loop.time() - t0) * 1000.0)
+        writer.write(answer)
+        await writer.drain()
+        self.metrics.record_response(status, (loop.time() - t0) * 1000.0)
 
     async def _reject(
         self,

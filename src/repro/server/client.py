@@ -57,6 +57,7 @@ from repro.server.protocol import (
     ProtocolError,
     QueryRequest,
     QueryResponse,
+    decode_query_response,
 )
 from repro.store.plan import QueryLike, parse_query
 
@@ -256,6 +257,15 @@ class StoreClient:
             attempts=made,
         )
 
+    @staticmethod
+    def _parse_json(method: str, path: str, payload: bytes) -> dict:
+        try:
+            return json.loads(payload.decode("utf-8")) if payload else {}
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ProtocolError(
+                f"server sent a non-JSON body for {method} {path}: {exc}"
+            ) from exc
+
     def _request_json(
         self,
         method: str,
@@ -264,13 +274,26 @@ class StoreClient:
         headers: dict[str, str] | None = None,
     ) -> tuple[int, dict[str, str], dict]:
         status, resp_headers, payload = self._request(method, path, body, headers)
-        try:
-            parsed = json.loads(payload.decode("utf-8")) if payload else {}
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        return status, resp_headers, self._parse_json(method, path, payload)
+
+    def _query_answer(
+        self, status: int, resp_headers: dict[str, str], payload: bytes
+    ) -> QueryResponse:
+        """Interpret a ``/query`` answer: 400 raises, 200/500 parse.
+
+        The answer is a binary v3 frame or a JSON body, by content type;
+        a frame that fails any length check raises :class:`ProtocolError`.
+        """
+        if status == 400:
+            parsed = self._parse_json("POST", "/query", payload)
+            raise QueryRejectedError(
+                str(parsed.get("error", "server rejected the request"))
+            )
+        if status not in (200, 500):
             raise ProtocolError(
-                f"server sent a non-JSON body for {method} {path}: {exc}"
-            ) from exc
-        return status, resp_headers, parsed
+                f"unexpected HTTP {status} from /query: {payload[:200]!r}"
+            )
+        return decode_query_response(payload, resp_headers.get("content-type"))
 
     # ------------------------------------------------------------------
     # Endpoints
@@ -299,18 +322,7 @@ class StoreClient:
         if deadline_ms is not None:
             headers[DEADLINE_HEADER] = f"{deadline_ms:g}"
         body = json.dumps(request.to_body()).encode("utf-8")
-        status, _resp_headers, parsed = self._request_json(
-            "POST", "/query", body, headers
-        )
-        if status == 400:
-            raise QueryRejectedError(
-                str(parsed.get("error", "server rejected the request"))
-            )
-        if status not in (200, 500):
-            raise ProtocolError(
-                f"unexpected HTTP {status} from /query: {parsed!r}"
-            )
-        return QueryResponse.from_body(parsed)
+        return self._query_answer(*self._request("POST", "/query", body, headers))
 
     def ingest(
         self,

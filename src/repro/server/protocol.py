@@ -1,14 +1,17 @@
 """Wire protocol for the HTTP serving layer.
 
-One JSON request/response pair, spoken by :mod:`repro.server.app` and
+One request/response pair, spoken by :mod:`repro.server.app` and
 :mod:`repro.server.client` and documented in ``docs/serving.md``.  The
 query itself travels as the typed AST's JSON form
 (:meth:`repro.store.plan.Term.to_json` et al.); a bare string is
-accepted as single-term shorthand.
+accepted as single-term shorthand.  Requests are always JSON; the
+``/query`` answer is binary for ``"v": 3`` requests (see
+:func:`encode_v3`) and JSON for ``"v": 2``, the curl-friendly debug form.
 
 Request body (``POST /query``)::
 
     {
+      "v": 3,                        # 3: binary answer; 2: JSON answer
       "query": {"op": "and", "children": [{"op": "term", "name": "news"},
                                           {"op": "term", "name": "2024"}]},
       "shards": ["s0", "s1"],        # optional, default: every shard
@@ -16,7 +19,7 @@ Request body (``POST /query``)::
       "strict": false                # optional: degraded result => failed
     }
 
-Response body (mirrors :meth:`repro.store.engine.QueryResult.as_dict`,
+Response body, v2 (mirrors :meth:`repro.store.engine.QueryResult.as_dict`,
 plus the decoded values)::
 
     {
@@ -32,17 +35,23 @@ plus the decoded values)::
 Ingest body (``POST /ingest``, writable stores only)::
 
     {
-      "v": 2,
+      "v": 3,
       "ops": [{"op": "add", "shard": "s0", "term": "news", "values": [3, 17]},
               {"op": "del", "shard": "s0", "term": "news", "values": [17]}],
       "batch_id": "b-42"             # optional, echoed back
     }
 
-Both bodies carry a versioned envelope: ``"v": 2`` today, with ``"v":
-1`` still accepted from older clients.  A request with an unknown
-version — or with *no* ``v`` field at all — is answered 400: the v1
-deprecation window that waved through unversioned bodies closed with
-v2 (release note in docs/serving.md).
+Response body, v3 (``Content-Type: application/x-repro-v3``)::
+
+    <u32 little-endian: header length H>
+    <H bytes: the v2 JSON body without "values">
+    <4 * n_results bytes: the values as little-endian uint32>
+
+Both request bodies carry a versioned envelope: ``"v": 3`` today, with
+``"v": 2`` still accepted as the JSON debug form.  A request with any
+other version — v1 included, since v3 — or with *no* ``v`` field at
+all is answered 400 naming the current version (release notes in
+docs/serving.md).
 
 The per-request deadline travels in the :data:`DEADLINE_HEADER` header
 (milliseconds); a shed request answers 503 with a ``Retry-After``
@@ -51,7 +60,11 @@ header (seconds).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import json
+import struct
+from dataclasses import dataclass, field, fields
+
+import numpy as np
 
 from repro.core.errors import ReproError
 from repro.store.engine import QueryResult
@@ -72,13 +85,28 @@ SHARDMAP_VERSION_HEADER = "X-Repro-Shardmap-Version"
 MAX_BODY_BYTES = 1 << 20
 
 #: Current wire-envelope major version, sent as ``"v"`` in request
-#: bodies.
-WIRE_VERSION = 2
+#: bodies.  A v3 ``/query`` request is answered in the binary frame of
+#: :func:`encode_v3`.
+WIRE_VERSION = 3
 
-#: Versions this server still answers.  v1 bodies are identical except
-#: that v1 clients were allowed to omit ``v``; that allowance ended
-#: with v2, so the field itself is now mandatory.
-SUPPORTED_WIRE_VERSIONS = frozenset({1, WIRE_VERSION})
+#: The JSON debug version: same request body, ``/query`` answered with
+#: a JSON body whose ``values`` is a list (what curl users want).
+JSON_WIRE_VERSION = 2
+
+#: Versions this server still answers.  v1 (identical to v2 on the wire)
+#: was retired with v3; its bodies get a 400 naming the current version.
+SUPPORTED_WIRE_VERSIONS = frozenset({JSON_WIRE_VERSION, WIRE_VERSION})
+
+JSON_CONTENT_TYPE = "application/json"
+#: Content type of a binary v3 ``/query`` answer.
+V3_CONTENT_TYPE = "application/x-repro-v3"
+
+#: v3 frame prefix: the JSON header's byte length.
+_V3_PREFIX = struct.Struct("<I")
+#: v3 value encoding.  The codecs' value domain is ``[0, 2**31 - 1]``,
+#: so uint32 carries every value a store can hold.
+_V3_VALUE = np.dtype("<u4")
+_V3_MAX_VALUE = int(np.iinfo(_V3_VALUE).max)
 
 
 class ProtocolError(ReproError, ValueError):
@@ -121,6 +149,9 @@ class QueryRequest:
     shards: tuple[str, ...] | None = None
     query_id: str = ""
     strict: bool = False
+    #: Envelope version; decides the answer's encoding
+    #: (:func:`encode_query_response`).
+    version: int = WIRE_VERSION
 
     @classmethod
     def from_body(cls, body: object) -> "QueryRequest":
@@ -147,11 +178,17 @@ class QueryRequest:
         strict = body.get("strict", False)
         if not isinstance(strict, bool):
             raise ProtocolError("'strict' must be a boolean")
-        return cls(query=query, shards=shards, query_id=query_id, strict=strict)
+        return cls(
+            query=query,
+            shards=shards,
+            query_id=query_id,
+            strict=strict,
+            version=body["v"],
+        )
 
     def to_body(self) -> dict:
         """The JSON body the client sends."""
-        out: dict = {"v": WIRE_VERSION, "query": self.query.to_json()}
+        out: dict = {"v": self.version, "query": self.query.to_json()}
         if self.shards is not None:
             out["shards"] = list(self.shards)
         if self.query_id:
@@ -166,12 +203,53 @@ class QueryRequest:
         )
 
 
-@dataclass(frozen=True)
+def as_values(raw: object) -> np.ndarray | None:
+    """Normalise response values to a read-only int64 array (or None).
+
+    Accepts what the engine produces (any integer ndarray) and what a
+    v2 JSON body carries (a list of ints).  An int64 array is wrapped in
+    a read-only *view*, never copied: the engine's plan cache shares the
+    array it returned, so callers must not be able to write through it.
+    """
+    if raw is None:
+        return None
+    if isinstance(raw, np.ndarray):
+        arr = raw
+    elif isinstance(raw, list):
+        try:
+            arr = np.array(raw) if raw else np.empty(0, dtype=np.int64)
+        except (OverflowError, ValueError) as exc:
+            raise ProtocolError(f"'values' is not a list of integers: {exc}") from None
+    else:
+        raise ProtocolError(
+            f"'values' must be a list of integers or null, got {type(raw).__name__}"
+        )
+    if arr.ndim != 1 or arr.dtype.kind not in "iu":
+        raise ProtocolError(
+            f"'values' must be a flat list of integers, got {arr.dtype} "
+            f"with shape {arr.shape}"
+        )
+    if arr.dtype.kind == "u" and arr.size and arr.max() > np.iinfo(np.int64).max:
+        raise ProtocolError("'values' holds an integer outside int64")
+    if arr.dtype != np.int64:
+        arr = arr.astype(np.int64)
+    elif arr.flags.writeable:
+        arr = arr.view()
+    arr.flags.writeable = False
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
 class QueryResponse:
-    """A parsed ``/query`` response body (both directions)."""
+    """A parsed ``/query`` response (both directions).
+
+    ``values`` is a read-only int64 ndarray — or ``None`` when the query
+    produced no answer — whatever it was built from; ``==`` compares it
+    by content.  Use ``values.tolist()`` for plain Python ints.
+    """
 
     status: str
-    values: list[int] | None
+    values: np.ndarray | None
     n_results: int | None
     latency_ms: float
     partial: bool = False
@@ -184,46 +262,153 @@ class QueryResponse:
     #: Server-side annotations (e.g. strict-mode escalation note).
     detail: dict = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "values", as_values(self.values))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, QueryResponse):
+            return NotImplemented
+        for f in fields(self):
+            mine, theirs = getattr(self, f.name), getattr(other, f.name)
+            if f.name != "values":
+                if mine != theirs:
+                    return False
+            elif (mine is None) != (theirs is None) or (
+                mine is not None and not np.array_equal(mine, theirs)
+            ):
+                return False
+        return True
+
+    __hash__ = None  # type: ignore[assignment]
+
     @property
     def ok(self) -> bool:
         return self.status == "ok"
 
-    def to_body(self) -> dict:
-        out = {
-            "status": self.status,
-            "values": self.values,
-            "n_results": self.n_results,
-            "latency_ms": round(self.latency_ms, 4),
-            "partial": self.partial,
-            "timed_out": self.timed_out,
-            "error": self.error,
-            "shards_queried": self.shards_queried,
-            "failed_shards": list(self.failed_shards),
-            "degraded_terms": list(self.degraded_terms),
-            "query_id": self.query_id,
-        }
+    def to_body(self, *, with_values: bool = True) -> dict:
+        """The v2 JSON body; ``with_values=False`` gives the v3 header."""
+        out: dict = {"status": self.status}
+        if with_values:
+            out["values"] = self.values.tolist() if self.values is not None else None
+        out.update(
+            n_results=self.n_results,
+            latency_ms=round(self.latency_ms, 4),
+            partial=self.partial,
+            timed_out=self.timed_out,
+            error=self.error,
+            shards_queried=self.shards_queried,
+            failed_shards=list(self.failed_shards),
+            degraded_terms=list(self.degraded_terms),
+            query_id=self.query_id,
+        )
         if self.detail:
             out["detail"] = self.detail
         return out
 
     @classmethod
     def from_body(cls, body: object) -> "QueryResponse":
+        """Parse a response body; any malformed field is a ProtocolError."""
         if not isinstance(body, dict) or "status" not in body:
             raise ProtocolError("malformed query response body")
-        return cls(
-            status=body["status"],
-            values=body.get("values"),
-            n_results=body.get("n_results"),
-            latency_ms=float(body.get("latency_ms", 0.0)),
-            partial=bool(body.get("partial", False)),
-            timed_out=bool(body.get("timed_out", False)),
-            error=body.get("error"),
-            shards_queried=int(body.get("shards_queried", 0)),
-            failed_shards=tuple(body.get("failed_shards", ())),
-            degraded_terms=tuple(body.get("degraded_terms", ())),
-            query_id=body.get("query_id", ""),
-            detail=body.get("detail", {}),
+        try:
+            return cls(
+                status=body["status"],
+                values=body.get("values"),
+                n_results=body.get("n_results"),
+                latency_ms=float(body.get("latency_ms", 0.0)),
+                partial=bool(body.get("partial", False)),
+                timed_out=bool(body.get("timed_out", False)),
+                error=body.get("error"),
+                shards_queried=int(body.get("shards_queried", 0)),
+                failed_shards=tuple(body.get("failed_shards", ())),
+                degraded_terms=tuple(body.get("degraded_terms", ())),
+                query_id=body.get("query_id", ""),
+                detail=body.get("detail", {}),
+            )
+        except (TypeError, ValueError) as exc:  # ProtocolError included
+            raise ProtocolError(f"malformed query response body: {exc}") from None
+
+
+def encode_v3(response: QueryResponse) -> bytes:
+    """The binary v3 ``/query`` answer: length-prefixed JSON header, then
+    the values as little-endian uint32.
+
+    Raises :class:`ProtocolError` for a value outside uint32 rather than
+    truncating it.
+    """
+    values = response.values
+    blob = b""
+    if values is not None and values.size:
+        lo, hi = int(values.min()), int(values.max())
+        if lo < 0 or hi > _V3_MAX_VALUE:
+            raise ProtocolError(
+                f"value {lo if lo < 0 else hi} is outside the v3 value "
+                f"domain [0, {_V3_MAX_VALUE}]"
+            )
+        blob = values.astype(_V3_VALUE).tobytes()
+    header = json.dumps(response.to_body(with_values=False)).encode("utf-8")
+    return b"".join((_V3_PREFIX.pack(len(header)), header, blob))
+
+
+def decode_v3(payload: bytes) -> QueryResponse:
+    """Parse a v3 frame; every length is checked before any is trusted."""
+    prefix = _V3_PREFIX.size
+    if len(payload) < prefix:
+        raise ProtocolError(
+            f"v3 frame of {len(payload)} bytes is shorter than its "
+            f"{prefix}-byte length prefix"
         )
+    (header_len,) = _V3_PREFIX.unpack_from(payload)
+    start = prefix + header_len
+    if start > len(payload):
+        raise ProtocolError(
+            f"v3 header length {header_len} runs past the end of a "
+            f"{len(payload)}-byte frame"
+        )
+    try:
+        header = json.loads(payload[prefix:start].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise ProtocolError(f"v3 header is not valid JSON: {exc}") from None
+    if not isinstance(header, dict):
+        raise ProtocolError("v3 header must be a JSON object")
+    n = header.get("n_results")
+    blob_len = len(payload) - start
+    values: np.ndarray | None = None
+    if n is None:
+        if blob_len:
+            raise ProtocolError(
+                f"v3 frame carries {blob_len} value bytes but no n_results"
+            )
+    elif not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise ProtocolError(f"v3 n_results must be a non-negative int, got {n!r}")
+    elif blob_len != n * _V3_VALUE.itemsize:
+        raise ProtocolError(
+            f"v3 values blob is {blob_len} bytes, expected "
+            f"{_V3_VALUE.itemsize} x {n} n_results"
+        )
+    else:
+        values = np.frombuffer(payload, dtype=_V3_VALUE, count=n, offset=start)
+    return QueryResponse.from_body({**header, "values": values})
+
+
+def encode_query_response(
+    response: QueryResponse, version: int
+) -> tuple[bytes, str]:
+    """``(payload, content type)`` answering a request of *version*."""
+    if version >= WIRE_VERSION:
+        return encode_v3(response), V3_CONTENT_TYPE
+    return json.dumps(response.to_body()).encode("utf-8"), JSON_CONTENT_TYPE
+
+
+def decode_query_response(payload: bytes, content_type: str | None) -> QueryResponse:
+    """Parse a ``/query`` answer of either encoding, by its content type."""
+    if (content_type or "").split(";", 1)[0].strip() == V3_CONTENT_TYPE:
+        return decode_v3(payload)
+    try:
+        body = json.loads(payload.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise ProtocolError(f"/query answer is not valid JSON: {exc}") from None
+    return QueryResponse.from_body(body)
 
 
 #: Cap on ops per ingest batch — one WAL sync covers the whole batch,
@@ -351,21 +536,19 @@ def response_from_result(
 ) -> QueryResponse:
     """Convert an engine result to the wire response.
 
-    With ``strict=True`` any degraded outcome (partial / timed out) is
-    escalated to ``failed`` — the server-side mirror of the store CLI's
-    ``--strict`` exit-code policy.
+    The values are the engine's own array behind a read-only view (no
+    copy, no per-value conversion).  With ``strict=True`` any degraded
+    outcome (partial / timed out) is escalated to ``failed`` — the
+    server-side mirror of the store CLI's ``--strict`` exit-code policy.
     """
     status = result.status
     detail: dict = {}
     if strict and status not in ("ok", "failed"):
         detail["strict_violation"] = status
         status = "failed"
-    values = (
-        [int(v) for v in result.values] if result.values is not None else None
-    )
     return QueryResponse(
         status=status,
-        values=values,
+        values=result.values,
         n_results=int(result.values.size) if result.values is not None else None,
         latency_ms=result.latency_ms,
         partial=result.partial,

@@ -111,4 +111,4 @@ def test_ingest_to_unknown_shard_is_rejected_before_any_write(
         with pytest.raises(QueryRejectedError, match="not in shard map"):
             target.ingest([("add", "nope", "t", [1])])
         follower_or_primary = target.query("t")
-    assert follower_or_primary.values == []
+    assert follower_or_primary.values.tolist() == []

@@ -29,7 +29,7 @@ def test_scatter_gather_matches_single_backend(cluster_factory):
     merged = _query(cluster.port)
     local = single.execute("a")
     assert merged.status == "ok"
-    assert merged.values == sorted(int(v) for v in local.values)
+    assert merged.values.tolist() == sorted(int(v) for v in local.values)
     detail = merged.detail
     assert detail["replicas"]["answered"] == detail["replicas"]["of"]
     assert detail["shardmap_version"] == 1
@@ -44,7 +44,7 @@ def test_shard_subset_routes_only_those_groups(cluster_factory):
     single = QueryEngine(make_store(4)).execute(
         Query(expression=Term("a"), shards=(shard,))
     )
-    assert response.values == sorted(int(v) for v in single.values)
+    assert response.values.tolist() == sorted(int(v) for v in single.values)
     assert response.shards_queried == 1
 
 
@@ -78,7 +78,7 @@ def test_replicated_cluster_survives_a_dead_backend(cluster_factory):
     cluster.backend_bgs[1].stop()
     survived = _query(cluster.port)
     assert survived.status == "ok"
-    assert survived.values == baseline.values
+    assert survived.values.tolist() == baseline.values.tolist()
     assert survived.failed_shards == ()
 
 
@@ -220,7 +220,7 @@ def test_merge_unions_values_and_keeps_ok():
     ]
     merged = asyncio.run(_run_merge(router, answers))
     assert merged.status == "ok"
-    assert merged.values == [1, 2, 3]
+    assert merged.values.tolist() == [1, 2, 3]
     assert merged.detail["replicas"] == {"answered": 2, "of": 2}
 
 
@@ -236,7 +236,7 @@ def test_merge_treats_answered_failed_as_degraded_not_timed_out():
     merged = asyncio.run(_run_merge(router, answers))
     assert merged.status == "partial"
     assert not merged.timed_out
-    assert merged.values == [1]
+    assert merged.values.tolist() == [1]
     assert merged.failed_shards == ("s1",)
     assert merged.detail["failed_backends"] == {"b1": ["s1"]}
     assert "shard exploded" in merged.error
@@ -253,7 +253,7 @@ def test_merge_escalates_to_timed_out_but_never_past_it():
     merged = asyncio.run(_run_merge(router, answers))
     assert merged.status == "timed_out"
     assert merged.partial and merged.timed_out
-    assert merged.values == [1, 2]
+    assert merged.values.tolist() == [1, 2]
 
 
 def test_merge_attributes_transport_errors_to_backends():

@@ -1,9 +1,9 @@
 """Envelope versioning at the router boundary.
 
-The router accepts every supported wire version (a v1 client keeps
-working through it) but always re-serialises sub-requests as v2, so
-mixed-version fleets interoperate.  Shard-map version skew rides a
-separate channel — the pin header — and resolves via 410 + refetch.
+The router accepts every supported wire version and answers each in
+its own encoding (a binary frame for v3, JSON for v2), but always asks
+its backends for v3.  Shard-map version skew rides a separate channel —
+the pin header — and resolves via 410 + refetch.
 """
 
 import http.client
@@ -17,6 +17,7 @@ from repro.server.protocol import (
     SHARDMAP_VERSION_HEADER,
     SUPPORTED_WIRE_VERSIONS,
     WIRE_VERSION,
+    decode_query_response,
 )
 
 
@@ -34,19 +35,24 @@ def _raw_request(port, method, path, body=b"", headers=()):
 def test_router_accepts_every_supported_envelope(cluster_factory, version):
     cluster = cluster_factory(n_backends=2, replication=2)
     body = json.dumps({"v": version, "query": "a"}).encode()
-    status, _headers, payload = _raw_request(
+    status, headers, payload = _raw_request(
         cluster.port, "POST", "/query", body
     )
     assert status == 200
-    parsed = json.loads(payload)
-    assert parsed["status"] == "ok"
-    assert parsed["values"]
+    response = decode_query_response(payload, headers.get("Content-Type"))
+    assert response.status == "ok"
+    assert response.values.size
 
 
 @pytest.mark.parametrize(
     "body",
-    [{"query": "a"}, {"v": 99, "query": "a"}, {"v": "2", "query": "a"}],
-    ids=["missing-v", "unknown-major", "string-v"],
+    [
+        {"query": "a"},
+        {"v": 99, "query": "a"},
+        {"v": "2", "query": "a"},
+        {"v": 1, "query": "a"},
+    ],
+    ids=["missing-v", "unknown-major", "string-v", "retired-v1"],
 )
 def test_bad_envelopes_get_400_from_the_router(cluster_factory, body):
     cluster = cluster_factory(n_backends=2, replication=1)
@@ -139,3 +145,28 @@ def test_bad_query_is_rejected_through_the_router_client(cluster_factory):
     with RouterClient("127.0.0.1", cluster.port) as client:
         with pytest.raises(QueryRejectedError):
             client.query("a", shards=["nope"])
+
+
+def test_router_deeply_nested_bodies_get_400(cluster_factory):
+    """A body nested past the recursion limit is a 400 on both router
+    endpoints, not a dropped connection, and the router keeps serving."""
+    cluster = cluster_factory(n_backends=2, replication=1)
+    deep_list = b"[" * 5_000 + b"]" * 5_000
+    deep_and = (
+        b'{"op": "and", "children": [' * 2_000
+        + b'{"op": "term", "name": "a"}'
+        + b"]}" * 2_000
+    )
+    bodies = [
+        ("/query", b'{"v": 2, "query": ' + deep_list + b"}"),
+        ("/query", b'{"v": 2, "query": ' + deep_and + b"}"),
+        ("/ingest", b'{"v": 2, "ops": ' + deep_list + b"}"),
+    ]
+    for path, body in bodies:
+        status, _headers, payload = _raw_request(cluster.port, "POST", path, body)
+        assert status == 400, (path, payload[:200])
+        assert "nested too deeply" in json.loads(payload)["error"]
+    assert cluster.router.in_flight == 0
+    valid = json.dumps({"v": 2, "query": "a"}).encode()
+    status, _headers, _payload = _raw_request(cluster.port, "POST", "/query", valid)
+    assert status == 200

@@ -59,7 +59,7 @@ def test_ingest_acks_only_after_wal_sync(writable_engine, live_server):
     # And the write is immediately queryable through the delta overlay.
     with connect(f"http://127.0.0.1:{server.port}") as client:
         result = client.query(Term("news"))
-    assert result.values == [1, 40]
+    assert result.values.tolist() == [1, 40]
 
 
 def test_ingest_then_background_compaction_preserves_results(
@@ -69,9 +69,9 @@ def test_ingest_then_background_compaction_preserves_results(
     store = writable_engine.store
     with connect(f"http://127.0.0.1:{server.port}") as client:
         client.ingest([("add", "s0", "t", list(range(0, 500, 5)))])
-        before = client.query(Term("t")).values
+        before = client.query(Term("t")).values.tolist()
         store.compact()
-        after = client.query(Term("t")).values
+        after = client.query(Term("t")).values.tolist()
     assert before == after == list(range(0, 500, 5))
 
 
@@ -157,15 +157,32 @@ def test_unversioned_bodies_rejected(writable_engine, live_server):
 
 
 def test_previous_major_version_still_accepted(writable_engine, live_server):
-    # v1 clients that always sent an explicit "v" keep working.
+    # v2, the JSON debug form, keeps working beside v3.
     server = live_server(writable_engine)
     status, _h, _p = _raw_request(
         server.port,
         "POST",
         "/ingest",
-        json.dumps({"v": 1, "ops": [_op(values=[1])]}).encode(),
+        json.dumps({"v": WIRE_VERSION - 1, "ops": [_op(values=[1])]}).encode(),
     )
     assert status == 200
+
+
+@pytest.mark.parametrize("path,body", [
+    ("/query", {"query": "a"}),
+    ("/ingest", {"ops": [{"op": "add", "shard": "s0", "term": "t", "values": [1]}]}),
+])
+def test_retired_v1_is_400_naming_the_current_version(
+    writable_engine, live_server, path, body
+):
+    server = live_server(writable_engine)
+    status, _h, payload = _raw_request(
+        server.port, "POST", path, json.dumps({"v": 1, **body}).encode()
+    )
+    assert status == 400
+    error = json.loads(payload)["error"]
+    assert "unsupported wire version 1" in error
+    assert f"v{WIRE_VERSION}" in error
 
 
 def test_client_sends_versioned_envelopes(writable_engine, live_server):

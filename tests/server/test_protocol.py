@@ -91,7 +91,7 @@ def _result(**kwargs) -> QueryResult:
 def test_response_from_ok_result():
     response = response_from_result(_result())
     assert response.status == "ok" and response.ok
-    assert response.values == [1, 2, 3]
+    assert response.values.tolist() == [1, 2, 3]
     assert response.n_results == 3
     assert HTTP_STATUS_FOR[response.status] == 200
 
@@ -101,7 +101,7 @@ def test_response_round_trip_through_body():
     parsed = QueryResponse.from_body(response.to_body())
     assert parsed.status == "partial"
     assert parsed.degraded_terms == ("x",)
-    assert parsed.values == [1, 2, 3]
+    assert parsed.values.tolist() == [1, 2, 3]
 
 
 def test_strict_escalates_degraded_to_failed():

@@ -54,7 +54,7 @@ def test_query_matches_in_process_result(engine, live_server):
         response = client.query(And(Or("a", "b"), "c"), query_id="q1")
     assert response.status == "ok"
     assert response.query_id == "q1"
-    assert response.values == [int(v) for v in expected.values]
+    assert response.values.tolist() == [int(v) for v in expected.values]
 
 
 def test_query_shard_subset(engine, live_server):
@@ -110,7 +110,7 @@ def test_slow_shard_degrades_to_partial_within_grace(live_server):
     assert response.status == "timed_out"
     assert response.partial and response.timed_out
     assert response.shards_queried == 1  # s0 completed, s1 skipped
-    assert response.values  # partial results still delivered
+    assert response.values.size  # partial results still delivered
 
 
 def test_slow_shard_abandoned_past_grace(live_server):

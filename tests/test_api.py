@@ -51,7 +51,7 @@ def test_connect_local_round_trip(tmp_path):
         assert isinstance(target, api.QueryTarget)  # runtime protocol
         response = target.query(api.And("news", "sports"))
     assert response.status == "ok"
-    assert response.values == list(range(0, 1_000, 6))
+    assert response.values.tolist() == list(range(0, 1_000, 6))
 
 
 def test_connect_missing_directory_raises_os_error(tmp_path):
@@ -93,11 +93,11 @@ def test_connect_writable_ingests_and_reopens_readonly(tmp_path):
         )
         assert resp.status == "ok"
         assert resp.acked_ops == 2
-        assert writer.query("news").values == [2, 8]
+        assert writer.query("news").values.tolist() == [2, 8]
     # context exit sealed deltas into compressed segments
     with api.connect(str(tmp_path / "idx")) as reader:
         assert not isinstance(reader.engine.store, api.WritablePostingStore)
-        assert reader.query("news").values == [2, 8]
+        assert reader.query("news").values.tolist() == [2, 8]
         with pytest.raises(api.QueryRejectedError, match="read-only"):
             reader.ingest([("add", "s0", "t", [1])])
 
@@ -116,7 +116,7 @@ def test_connect_writable_with_background_compactor(tmp_path):
 
             time.sleep(0.01)
         assert store.shard("s0").pending_ops() == 0
-        assert target.query("t").values == list(range(100))
+        assert target.query("t").values.tolist() == list(range(100))
 
 
 # ----------------------------------------------------------------------
